@@ -56,44 +56,74 @@ inline UnrankedTree MakePath(size_t n) {
 /// vertical information flow, answers sparse).
 inline UnrankedTva StandardQuery() { return QueryMarkedAncestor(3, 1, 2); }
 
-/// Random-edit driver with an incrementally maintained pool of candidate
-/// node ids, so picking an edit target is O(1) — a full PreorderNodes()
-/// scan per edit would add an O(n) term inside the timed region and mask
-/// the logarithmic update shapes the experiments measure.
-class EditDriver {
+/// Candidate edit targets of a tree that the edits grow and shrink: new
+/// nodes are Add()ed, deleted ones are dropped lazily when drawn. Picking
+/// is O(1) expected — a full PreorderNodes() scan per edit would add an
+/// O(n) term inside the timed region and mask the logarithmic update
+/// shapes the experiments measure.
+class NodePool {
  public:
-  EditDriver(TreeEnumerator& e, uint64_t seed) : e_(e), rng_(seed) {
-    pool_ = e.tree().PreorderNodes();
+  explicit NodePool(const UnrankedTree& tree) : nodes_(tree.PreorderNodes()) {}
+
+  void Add(NodeId n) { nodes_.push_back(n); }
+
+  /// A uniformly drawn live node of `tree`.
+  NodeId Pick(const UnrankedTree& tree, Rng& rng) {
+    while (true) {
+      size_t i = rng.Index(nodes_.size());
+      NodeId n = nodes_[i];
+      if (tree.IsAlive(n)) return n;
+      nodes_[i] = nodes_.back();  // drop stale (deleted) entries lazily
+      nodes_.pop_back();
+    }
   }
 
+  /// A non-root leaf of `tree`, drawn by retrying Pick, or the root when
+  /// the tree has no other node. Retrying makes every chosen delete fire,
+  /// so a script's inserts and deletes balance and the tree keeps its size
+  /// however many edits a calibrated benchmark loop runs.
+  NodeId PickLeaf(const UnrankedTree& tree, Rng& rng) {
+    if (tree.size() < 2) return tree.root();
+    while (true) {
+      NodeId n = Pick(tree, rng);
+      if (n != tree.root() && tree.IsLeaf(n)) return n;
+    }
+  }
+
+ private:
+  std::vector<NodeId> nodes_;
+};
+
+/// Random-edit driver for a TreeEnumerator, drawing targets from a
+/// NodePool.
+class EditDriver {
+ public:
+  EditDriver(TreeEnumerator& e, uint64_t seed)
+      : e_(e), rng_(seed), pool_(e.tree()) {}
+
+  /// One edit: a relabel, an insert (first child or right sibling) or a
+  /// leaf delete, a third each, so the tree keeps its size in expectation.
   UpdateStats Step() {
     NodeId n = Pick();
-    switch (rng_.Index(4)) {
-      case 0:
-        return e_.Relabel(n, static_cast<Label>(rng_.Index(3)));
+    Label l = static_cast<Label>(rng_.Index(3));
+    switch (rng_.Index(3)) {
       case 1: {
         NodeId u;
-        UpdateStats s =
-            e_.InsertFirstChild(n, static_cast<Label>(rng_.Index(3)), &u);
-        pool_.push_back(u);
+        UpdateStats s = rng_.Index(2) == 0 || n == e_.tree().root()
+                            ? e_.InsertFirstChild(n, l, &u)
+                            : e_.InsertRightSibling(n, l, &u);
+        pool_.Add(u);
         return s;
       }
       case 2: {
-        if (n == e_.tree().root()) {
-          return e_.Relabel(n, static_cast<Label>(rng_.Index(3)));
-        }
-        NodeId u;
-        UpdateStats s =
-            e_.InsertRightSibling(n, static_cast<Label>(rng_.Index(3)), &u);
-        pool_.push_back(u);
-        return s;
+        NodeId leaf = pool_.PickLeaf(e_.tree(), rng_);
+        if (leaf != e_.tree().root()) return e_.DeleteLeaf(leaf);
+        break;
       }
       default:
-        if (n != e_.tree().root() && e_.tree().IsLeaf(n)) {
-          return e_.DeleteLeaf(n);
-        }
-        return e_.Relabel(n, static_cast<Label>(rng_.Index(3)));
+        break;
     }
+    return e_.Relabel(n, l);
   }
 
   UpdateStats RelabelStep() {
@@ -101,19 +131,11 @@ class EditDriver {
   }
 
  private:
-  NodeId Pick() {
-    while (true) {
-      size_t i = rng_.Index(pool_.size());
-      NodeId n = pool_[i];
-      if (e_.tree().IsAlive(n)) return n;
-      pool_[i] = pool_.back();  // drop stale (deleted) entries lazily
-      pool_.pop_back();
-    }
-  }
+  NodeId Pick() { return pool_.Pick(e_.tree(), rng_); }
 
   TreeEnumerator& e_;
   Rng rng_;
-  std::vector<NodeId> pool_;
+  NodePool pool_;
 };
 
 /// Random-edit driver for any Engine backend: the candidate pool is kept in
@@ -123,33 +145,32 @@ class EditDriver {
 class EngineEditDriver {
  public:
   EngineEditDriver(Engine& e, UnrankedTree mirror, uint64_t seed)
-      : e_(e), mirror_(std::move(mirror)), rng_(seed) {
-    pool_ = mirror_.PreorderNodes();
-  }
+      : e_(e), mirror_(std::move(mirror)), rng_(seed), pool_(mirror_) {}
 
+  /// One edit, mixed like EditDriver::Step.
   UpdateStats Step() {
     NodeId n = Pick();
     Label l = static_cast<Label>(rng_.Index(3));
-    switch (rng_.Index(4)) {
+    switch (rng_.Index(3)) {
       case 1: {
-        mirror_.InsertFirstChild(n, l);
+        const bool first = rng_.Index(2) == 0 || n == mirror_.root();
+        if (first) {
+          mirror_.InsertFirstChild(n, l);
+        } else {
+          mirror_.InsertRightSibling(n, l);
+        }
         NodeId u;
-        UpdateStats s = e_.ApplyEdit(Edit::InsertFirstChild(n, l), &u);
-        pool_.push_back(u);
+        UpdateStats s = e_.ApplyEdit(first ? Edit::InsertFirstChild(n, l)
+                                           : Edit::InsertRightSibling(n, l),
+                                     &u);
+        pool_.Add(u);
         return s;
       }
       case 2: {
-        if (n == mirror_.root()) break;
-        mirror_.InsertRightSibling(n, l);
-        NodeId u;
-        UpdateStats s = e_.ApplyEdit(Edit::InsertRightSibling(n, l), &u);
-        pool_.push_back(u);
-        return s;
-      }
-      case 3: {
-        if (n == mirror_.root() || !mirror_.IsLeaf(n)) break;
-        mirror_.DeleteLeaf(n);
-        return e_.ApplyEdit(Edit::DeleteLeaf(n));
+        NodeId leaf = pool_.PickLeaf(mirror_, rng_);
+        if (leaf == mirror_.root()) break;
+        mirror_.DeleteLeaf(leaf);
+        return e_.ApplyEdit(Edit::DeleteLeaf(leaf));
       }
       default:
         break;
@@ -169,20 +190,12 @@ class EngineEditDriver {
   }
 
  private:
-  NodeId Pick() {
-    while (true) {
-      size_t i = rng_.Index(pool_.size());
-      NodeId n = pool_[i];
-      if (mirror_.IsAlive(n)) return n;
-      pool_[i] = pool_.back();  // drop stale (deleted) entries lazily
-      pool_.pop_back();
-    }
-  }
+  NodeId Pick() { return pool_.Pick(mirror_, rng_); }
 
   Engine& e_;
   UnrankedTree mirror_;
   Rng rng_;
-  std::vector<NodeId> pool_;
+  NodePool pool_;
 };
 
 /// Mirror-driven edit scripter emitting Edit values (instead of applying
@@ -191,30 +204,29 @@ class EngineEditDriver {
 class EditScript {
  public:
   EditScript(UnrankedTree mirror, uint64_t seed, size_t num_labels = 3)
-      : mirror_(std::move(mirror)), rng_(seed), num_labels_(num_labels) {
-    pool_ = mirror_.PreorderNodes();
-  }
+      : mirror_(std::move(mirror)),
+        rng_(seed),
+        num_labels_(num_labels),
+        pool_(mirror_) {}
 
+  /// One edit, mixed like EditDriver::Step.
   Edit Next() {
     NodeId n = Pick();
     Label l = static_cast<Label>(rng_.Index(num_labels_));
-    switch (rng_.Index(4)) {
-      case 1: {
-        pool_.push_back(mirror_.InsertFirstChild(n, l));
-        return Edit::InsertFirstChild(n, l);
+    switch (rng_.Index(3)) {
+      case 1:
+        if (rng_.Index(2) == 0 || n == mirror_.root()) {
+          pool_.Add(mirror_.InsertFirstChild(n, l));
+          return Edit::InsertFirstChild(n, l);
+        }
+        pool_.Add(mirror_.InsertRightSibling(n, l));
+        return Edit::InsertRightSibling(n, l);
+      case 2: {
+        NodeId leaf = pool_.PickLeaf(mirror_, rng_);
+        if (leaf == mirror_.root()) break;
+        mirror_.DeleteLeaf(leaf);
+        return Edit::DeleteLeaf(leaf);
       }
-      case 2:
-        if (n != mirror_.root()) {
-          pool_.push_back(mirror_.InsertRightSibling(n, l));
-          return Edit::InsertRightSibling(n, l);
-        }
-        break;
-      case 3:
-        if (n != mirror_.root() && mirror_.IsLeaf(n)) {
-          mirror_.DeleteLeaf(n);
-          return Edit::DeleteLeaf(n);
-        }
-        break;
       default:
         break;
     }
@@ -230,20 +242,12 @@ class EditScript {
   }
 
  private:
-  NodeId Pick() {
-    while (true) {
-      size_t i = rng_.Index(pool_.size());
-      NodeId n = pool_[i];
-      if (mirror_.IsAlive(n)) return n;
-      pool_[i] = pool_.back();  // drop stale (deleted) entries lazily
-      pool_.pop_back();
-    }
-  }
+  NodeId Pick() { return pool_.Pick(mirror_, rng_); }
 
   UnrankedTree mirror_;
   Rng rng_;
   size_t num_labels_;
-  std::vector<NodeId> pool_;
+  NodePool pool_;
 };
 
 /// Machine-readable benchmark output: appends one JSON object per call to

@@ -1,13 +1,14 @@
 // Arena-backed flat storage for circuit boxes.
 //
-// Every variable-length piece of a box (its ×-gates and the CSR input lists
-// of its ∪-gates) lives in one contiguous pool per wire kind, owned by a
-// SpanPool. A box holds only (offset, length, capacity) triples; a box
-// refresh during updates (Lemma 7.3) reuses its old span in place whenever
-// the capacity suffices, and otherwise recycles it through a power-of-two
-// free list. In steady state — e.g. a stream of relabel edits — a refresh
-// therefore performs zero heap allocations; the pools only grow while the
-// circuit discovers new worst-case box shapes.
+// Every variable-length piece of a box (its ∪-gate states and CSR end
+// offsets, its ×-gates, and the CSR input lists of its ∪-gates) lives in
+// one contiguous pool per kind, owned by a SpanPool. A box holds only
+// (offset, length, capacity) triples; a box refresh during updates
+// (Lemma 7.3) reuses its old span in place whenever the capacity suffices,
+// and otherwise recycles it through a power-of-two free list. In steady
+// state — e.g. a stream of relabel edits — a refresh therefore performs
+// zero heap allocations; the pools only grow while the circuit discovers
+// new worst-case box shapes.
 //
 // Pointers into a pool are invalidated whenever some span in that pool is
 // (re)allocated: consumers must re-fetch Box views (AssignmentCircuit::box)
@@ -115,6 +116,10 @@ class SpanPool {
   }
 
   size_t size() const { return store_.size(); }
+  StoreBytes bytes() const { return store_.bytes(); }
+  /// Frees the backing store's retired buffers; see CowStore::DropRetired
+  /// for when that is safe.
+  void DropRetired() { store_.DropRetired(); }
 
  private:
   static constexpr uint32_t kMinCap = 4;

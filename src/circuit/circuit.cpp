@@ -19,6 +19,7 @@ AssignmentCircuit::AssignmentCircuit(const Term* term, const BinaryTva* tva,
   local_in_scratch_.resize(w_);
   child_in_scratch_.resize(w_);
   has_top_scratch_.resize(w_, 0);
+  union_states_scratch_.reserve(w_);
   // Build the grouped-CSR δ cache now, while this thread owns the automaton:
   // box rebuilds may later run from parallel refresh workers, and the cache
   // mutates on first access.
@@ -31,8 +32,6 @@ void AssignmentCircuit::EnsureSlot(TermNodeId id) {
   spans_.resize(n);
   gamma_.resize(n * w_, GateKind::kBot);
   union_idx_.resize(n * w_, kNoGate);
-  union_states_.resize(n * w_);
-  gate_ends_.resize(n * w_);
 }
 
 Box AssignmentCircuit::box(TermNodeId id) const {
@@ -41,21 +40,26 @@ Box AssignmentCircuit::box(TermNodeId id) const {
   size_t base = static_cast<size_t>(id) * w_;
   b.gamma_ = gamma_.data() + base;
   b.union_idx_ = union_idx_.data() + base;
-  b.union_states_ = union_states_.data() + base;
-  b.ends_ = gate_ends_.data() + base;
   const BoxSpans& s = spans_[id];
+  b.union_states_ = union_state_pool_.at(s.union_states.off);
+  b.ends_ = gate_end_pool_.at(s.gate_ends.off);
   b.cross_gates_ = cross_gate_pool_.at(s.cross_gates.off);
   b.cross_in_ = cross_in_pool_.at(s.cross_in.off);
   b.child_in_ = child_in_pool_.at(s.child_in.off);
   b.var_in_ = var_in_pool_.at(s.var_in.off);
   b.var_masks_ = var_mask_pool_.at(s.var_masks.off);
-  b.num_unions_ = s.num_unions;
+  b.num_unions_ = s.union_states.len;
   b.num_cross_gates_ = s.cross_gates.len;
   b.num_var_masks_ = s.var_masks.len;
   return b;
 }
 
 void AssignmentCircuit::BuildAll() {
+  // One exact allocation per fixed-stride store instead of a geometric
+  // series of them (each growth would retire a buffer; see CowStore).
+  if (term_->id_bound() > 0) {
+    EnsureSlot(static_cast<TermNodeId>(term_->id_bound() - 1));
+  }
   // Post-order over the term with an explicit stack.
   struct F {
     TermNodeId id;
@@ -88,12 +92,13 @@ void AssignmentCircuit::RebuildBox(TermNodeId id) {
 void AssignmentCircuit::FreeBox(TermNodeId id) {
   if (id >= spans_.size()) return;
   BoxSpans& s = spans_[id];
+  union_state_pool_.Release(s.union_states);
+  gate_end_pool_.Release(s.gate_ends);
   cross_gate_pool_.Release(s.cross_gates);
   cross_in_pool_.Release(s.cross_in);
   child_in_pool_.Release(s.child_in);
   var_in_pool_.Release(s.var_in);
   var_mask_pool_.Release(s.var_masks);
-  s.num_unions = 0;
   size_t base = static_cast<size_t>(id) * w_;
   std::fill_n(gamma_.data() + base, w_, GateKind::kBot);
   std::fill_n(union_idx_.data() + base, w_, kNoGate);
@@ -103,6 +108,9 @@ void AssignmentCircuit::ReserveForRebuild(size_t boxes) {
   size_t alive = term_->num_alive();
   if (alive == 0 || boxes == 0) return;
   // Per-box running averages (rounded up) scale the tail headroom.
+  union_state_pool_.ReserveAdditional(boxes *
+                                      (union_state_pool_.size() / alive + 1));
+  gate_end_pool_.ReserveAdditional(boxes * (gate_end_pool_.size() / alive + 1));
   cross_gate_pool_.ReserveAdditional(boxes *
                                      (cross_gate_pool_.size() / alive + 1));
   cross_in_pool_.ReserveAdditional(boxes * (cross_in_pool_.size() / alive + 1));
@@ -199,11 +207,9 @@ void AssignmentCircuit::CommitUnions(TermNodeId id, bool is_leaf) {
   size_t base = static_cast<size_t>(id) * w;
   GateKind* gamma = gamma_.data() + base;
   int32_t* uidx = union_idx_.data() + base;
-  State* ustates = union_states_.data() + base;
-  GateEnds* ends = gate_ends_.data() + base;
   BoxSpans& s = spans_[id];
 
-  uint32_t nu = 0;
+  union_states_scratch_.clear();
   // 64-bit accumulators: a box can hold up to w^3 input entries (one per
   // (q1, q2, result) triple), which overflows uint32_t long before the
   // kMaxCircuitWidth bound does — check loudly instead of wrapping.
@@ -224,18 +230,19 @@ void AssignmentCircuit::CommitUnions(TermNodeId id, bool is_leaf) {
       continue;
     }
     gamma[q] = GateKind::kUnion;
-    uidx[q] = static_cast<int32_t>(nu);
-    ustates[nu] = q;
+    uidx[q] = static_cast<int32_t>(union_states_scratch_.size());
+    union_states_scratch_.push_back(q);
     nlocal += local_in_scratch_[q].size();
     nchild += child_in_scratch_[q].size();
-    ++nu;
   }
-  s.num_unions = nu;
+  const uint32_t nu = static_cast<uint32_t>(union_states_scratch_.size());
   TREENUM_CHECK(nlocal <= (uint64_t{1} << 31) && nchild <= (uint64_t{1} << 31),
                 "box wire lists exceed 32-bit CSR offsets");
 
   // Span turnover: each pool span is reused in place when its capacity
   // suffices (Ensure), so steady-state refreshes stay allocation-free.
+  union_state_pool_.Ensure(s.union_states, nu);
+  gate_end_pool_.Ensure(s.gate_ends, nu);
   cross_gate_pool_.Ensure(s.cross_gates,
                           static_cast<uint32_t>(cross_gates_scratch_.size()));
   var_mask_pool_.Ensure(s.var_masks,
@@ -253,10 +260,13 @@ void AssignmentCircuit::CommitUnions(TermNodeId id, bool is_leaf) {
   uint32_t* local_dst = is_leaf ? var_in_pool_.at(s.var_in.off)
                                 : cross_in_pool_.at(s.cross_in.off);
   ChildUnionInput* child_dst = child_in_pool_.at(s.child_in.off);
+  State* ustates = union_state_pool_.at(s.union_states.off);
+  GateEnds* ends = gate_end_pool_.at(s.gate_ends.off);
   uint32_t lo = 0;
   uint32_t ch = 0;
   for (uint32_t u = 0; u < nu; ++u) {
-    State q = ustates[u];
+    const State q = union_states_scratch_[u];
+    ustates[u] = q;
     for (uint32_t v : local_in_scratch_[q]) local_dst[lo++] = v;
     for (const ChildUnionInput& ci : child_in_scratch_[q]) {
       child_dst[ch++] = ci;
@@ -265,6 +275,34 @@ void AssignmentCircuit::CommitUnions(TermNodeId id, bool is_leaf) {
     ends[u].var_end = is_leaf ? lo : 0;
     ends[u].child_end = ch;
   }
+}
+
+StoreBytes AssignmentCircuit::StorageBytes() const {
+  StoreBytes b;
+  b += gamma_.bytes();
+  b += union_idx_.bytes();
+  b += spans_.bytes();
+  b += union_state_pool_.bytes();
+  b += gate_end_pool_.bytes();
+  b += cross_gate_pool_.bytes();
+  b += cross_in_pool_.bytes();
+  b += child_in_pool_.bytes();
+  b += var_in_pool_.bytes();
+  b += var_mask_pool_.bytes();
+  return b;
+}
+
+void AssignmentCircuit::DropRetired() {
+  gamma_.DropRetired();
+  union_idx_.DropRetired();
+  spans_.DropRetired();
+  union_state_pool_.DropRetired();
+  gate_end_pool_.DropRetired();
+  cross_gate_pool_.DropRetired();
+  cross_in_pool_.DropRetired();
+  child_in_pool_.DropRetired();
+  var_in_pool_.DropRetired();
+  var_mask_pool_.DropRetired();
 }
 
 size_t AssignmentCircuit::CountGates() const {
@@ -281,12 +319,17 @@ size_t AssignmentCircuit::CountGates() const {
 
 std::string AssignmentCircuit::ValidateStorage() const {
   std::ostringstream err;
-  std::vector<LiveSpan> cg, ci, ch, vi, vm;
+  std::vector<LiveSpan> us, ge, cg, ci, ch, vi, vm;
   for (TermNodeId id = 0; id < spans_.size(); ++id) {
     if (!term_->IsAlive(id)) continue;
     const BoxSpans& s = spans_[id];
-    if (s.num_unions > w_) {
+    const uint32_t nu = s.union_states.len;
+    if (nu > w_) {
       err << "box " << id << " has more unions than states";
+      return err.str();
+    }
+    if (s.gate_ends.len != nu) {
+      err << "box " << id << " gate_ends length is not its union count";
       return err.str();
     }
     if (term_->IsLeaf(id)) {
@@ -300,7 +343,9 @@ std::string AssignmentCircuit::ValidateStorage() const {
       return err.str();
     }
     for (const auto& [ref, out] :
-         {std::make_pair(&s.cross_gates, &cg), std::make_pair(&s.cross_in, &ci),
+         {std::make_pair(&s.union_states, &us),
+          std::make_pair(&s.gate_ends, &ge),
+          std::make_pair(&s.cross_gates, &cg), std::make_pair(&s.cross_in, &ci),
           std::make_pair(&s.child_in, &ch), std::make_pair(&s.var_in, &vi),
           std::make_pair(&s.var_masks, &vm)}) {
       if (ref->len > ref->cap) {
@@ -310,12 +355,13 @@ std::string AssignmentCircuit::ValidateStorage() const {
       if (ref->cap != 0) out->push_back(LiveSpan{ref->off, ref->cap, id});
     }
     size_t base = static_cast<size_t>(id) * w_;
+    const State* ustates = union_state_pool_.at(s.union_states.off);
+    const GateEnds* ends = gate_end_pool_.at(s.gate_ends.off);
     uint32_t seen = 0;
     for (State q = 0; q < w_; ++q) {
       int32_t d = union_idx_[base + q];
       if (gamma_[base + q] == GateKind::kUnion) {
-        if (d < 0 || static_cast<uint32_t>(d) >= s.num_unions ||
-            union_states_[base + d] != q) {
+        if (d < 0 || static_cast<uint32_t>(d) >= nu || ustates[d] != q) {
           err << "box " << id << " dense index broken for state " << q;
           return err.str();
         }
@@ -325,14 +371,14 @@ std::string AssignmentCircuit::ValidateStorage() const {
         return err.str();
       }
     }
-    if (seen != s.num_unions) {
+    if (seen != nu) {
       err << "box " << id << " union count mismatch";
       return err.str();
     }
     // CSR ends must be monotone and bounded by the span lengths.
     uint32_t pc = 0, ph = 0, pv = 0;
-    for (uint32_t u = 0; u < s.num_unions; ++u) {
-      const GateEnds& e = gate_ends_[base + u];
+    for (uint32_t u = 0; u < nu; ++u) {
+      const GateEnds& e = ends[u];
       if (e.cross_end < pc || e.child_end < ph || e.var_end < pv ||
           e.cross_end > s.cross_in.len || e.child_end > s.child_in.len ||
           e.var_end > s.var_in.len) {
@@ -343,13 +389,18 @@ std::string AssignmentCircuit::ValidateStorage() const {
       ph = e.child_end;
       pv = e.var_end;
     }
-    if (s.num_unions > 0 &&
+    if (nu > 0 &&
         (pc != s.cross_in.len || ph != s.child_in.len || pv != s.var_in.len)) {
       err << "box " << id << " CSR tail does not cover its span";
       return err.str();
     }
   }
   std::string e;
+  if (!(e = CheckPoolSpans("union_state", union_state_pool_.size(), us))
+           .empty())
+    return e;
+  if (!(e = CheckPoolSpans("gate_end", gate_end_pool_.size(), ge)).empty())
+    return e;
   if (!(e = CheckPoolSpans("cross_gate", cross_gate_pool_.size(), cg)).empty())
     return e;
   if (!(e = CheckPoolSpans("cross_in", cross_in_pool_.size(), ci)).empty())

@@ -14,10 +14,12 @@
 // that the jump index of §6 exists to skip.
 //
 // Storage layout (arena/CSR): boxes own no heap memory. Per-state data
-// (γ kinds, dense ∪-gate indices) and per-∪-gate data (states, CSR end
-// offsets) live in fixed-stride arrays indexed by box id; the variable-
-// length wire lists live in flat SpanPools with per-box (offset, len)
-// spans that are recycled across box refreshes (see circuit/arena.h).
+// (γ kinds, dense ∪-gate indices) lives in fixed-stride arrays indexed by
+// box id, since O(1) state lookup needs a slot per state. Everything sized
+// by the box's actual gates — per-∪-gate states and CSR end offsets, ×-
+// gates, wire lists, var masks — lives in flat SpanPools with per-box
+// (offset, len) spans that are recycled across box refreshes (see
+// circuit/arena.h); a box typically has a few ∪-gates, far fewer than w.
 // `box(id)` returns a cheap Box *view* — invalidated by the next rebuild.
 #ifndef TREENUM_CIRCUIT_CIRCUIT_H_
 #define TREENUM_CIRCUIT_CIRCUIT_H_
@@ -139,7 +141,9 @@ class AssignmentCircuit {
   /// Width bound w: the automaton's state count.
   size_t width() const { return w_; }
 
-  /// Builds all boxes bottom-up (preprocessing, O(|T| * |A|)).
+  /// Builds all boxes bottom-up (preprocessing, O(|T| * |A|)). Sizes the
+  /// per-box stores once from the term's id bound first, so they never
+  /// grow while building.
   void BuildAll();
 
   /// Recomputes the box of `id` from its children's boxes (Lemma 7.3 step).
@@ -163,6 +167,14 @@ class AssignmentCircuit {
   /// Total number of gates (for accounting tests/benches).
   size_t CountGates() const;
 
+  /// Heap bytes of every per-box store and pool (live and retired).
+  StoreBytes StorageBytes() const;
+
+  /// Frees the retired buffers of every store and pool. Only safe while no
+  /// other thread can read this circuit (see CowStore::DropRetired): the
+  /// owning pipeline calls it at the end of its constructor.
+  void DropRetired();
+
   /// Validates the arena invariants: span bounds, CSR monotonicity, and
   /// that live spans never overlap within a pool. Returns an empty string
   /// if consistent, else a description of the first violation. (Test hook.)
@@ -171,12 +183,13 @@ class AssignmentCircuit {
  private:
   /// Per-box span directory into the pools.
   struct BoxSpans {
+    SpanRef union_states;  ///< len = number of ∪-gates.
+    SpanRef gate_ends;     ///< len = number of ∪-gates.
     SpanRef cross_gates;
     SpanRef cross_in;
     SpanRef child_in;
     SpanRef var_in;
     SpanRef var_masks;
-    uint32_t num_unions = 0;
   };
 
   void BuildLeafBox(TermNodeId id);
@@ -192,15 +205,16 @@ class AssignmentCircuit {
   const std::vector<uint8_t>* kind_;
   uint32_t w_;
 
-  // Fixed-stride per-box state (index = id * w_ + q / + u). CowStore-backed
-  // so concurrent snapshot readers survive writer growth (util/cow_store.h).
+  // Fixed-stride per-state arrays (index = id * w_ + q) and the per-box span
+  // directory. CowStore-backed so concurrent snapshot readers survive
+  // writer growth (util/cow_store.h).
   CowStore<GateKind> gamma_;
   CowStore<int32_t> union_idx_;
-  CowStore<State> union_states_;
-  CowStore<GateEnds> gate_ends_;
   CowStore<BoxSpans> spans_;
 
-  // Flat pools, one per wire kind.
+  // Flat pools: per-∪-gate data, then one per wire kind.
+  SpanPool<State> union_state_pool_;
+  SpanPool<GateEnds> gate_end_pool_;
   SpanPool<CrossGate> cross_gate_pool_;
   SpanPool<uint32_t> cross_in_pool_;
   SpanPool<ChildUnionInput> child_in_pool_;
@@ -213,6 +227,7 @@ class AssignmentCircuit {
   std::vector<std::vector<uint32_t>> local_in_scratch_;         // per state
   std::vector<std::vector<ChildUnionInput>> child_in_scratch_;  // per state
   std::vector<uint8_t> has_top_scratch_;
+  std::vector<State> union_states_scratch_;  // dense ∪-gate -> state
   std::vector<CrossGate> cross_gates_scratch_;
   std::vector<VarMask> var_masks_scratch_;
 };

@@ -17,8 +17,21 @@ EnumerationPipeline::EnumerationPipeline(
       // captures, then bumps); it and everything newer is servable. Epoch 0
       // means no snapshot layer is attached (bare-term pipelines in tests).
       min_snapshot_epoch_(term->epoch() == 0 ? 0 : term->epoch() - 1) {
+  // Nothing outside this constructor can see the pipeline yet, so no reader
+  // holds a pointer into its stores: the buffers retired while building are
+  // garbage. Dropping the circuit's before the index build lowers the peak.
   circuit_.BuildAll();
-  if (mode_ == BoxEnumMode::kIndexed) index_.BuildAll();
+  circuit_.DropRetired();
+  if (mode_ == BoxEnumMode::kIndexed) {
+    index_.BuildAll();
+    index_.DropRetired();
+  }
+}
+
+StoreBytes EnumerationPipeline::StorageBytes() const {
+  StoreBytes b = circuit_.StorageBytes();
+  b += index_.StorageBytes();
+  return b;
 }
 
 void EnumerationPipeline::EnableCounting() {
@@ -152,19 +165,19 @@ std::unique_ptr<Engine::Cursor> EnumerationPipeline::MakeEngineCursorAt(
     bool Next(Assignment* out) override {
       if (emit_empty_) {
         emit_empty_ = false;
-        *out = Assignment{};
+        out->Clear();
         return true;
       }
       if (!inner_) return false;
-      EnumOutput o;
-      if (!inner_->Next(&o)) return false;
-      *out = o.ToAssignment();
+      if (!inner_->Next(&o_)) return false;
+      o_.AssignTo(out);
       return true;
     }
 
    private:
     bool emit_empty_;
     std::unique_ptr<AssignmentCursor> inner_;
+    EnumOutput o_;  ///< Reused across answers.
   };
   return std::make_unique<Cursor>(EmptyAssignmentSatisfiesAt(root),
                                   MakeRootCursorAt(root));

@@ -77,6 +77,11 @@ class EnumerationPipeline {
   const EnumIndex& index() const { return index_; }
   /// Box-enumeration mode this pipeline was built for.
   BoxEnumMode mode() const { return mode_; }
+  /// Heap bytes of the circuit's and the index's stores and pools, live
+  /// and retired. The constructor frees what its build retired, so a fresh
+  /// pipeline reports retired == 0; refreshes after publication retire
+  /// buffers again (see util/cow_store.h).
+  StoreBytes StorageBytes() const;
 
   // ---- Dynamic counting (optional; see counting/run_count.h) ----
 

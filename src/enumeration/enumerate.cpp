@@ -7,8 +7,7 @@ namespace treenum {
 
 namespace {
 
-void OrInto(std::vector<uint64_t>& dst, const uint64_t* src, size_t words) {
-  if (dst.size() < words) dst.resize(words, 0);
+void OrInto(uint64_t* dst, const uint64_t* src, size_t words) {
   for (size_t i = 0; i < words; ++i) dst[i] |= src[i];
 }
 
@@ -20,13 +19,18 @@ bool BitAt(const std::vector<uint64_t>& bits, size_t pos) {
 
 Assignment EnumOutput::ToAssignment() const {
   Assignment a;
+  AssignTo(&a);
+  return a;
+}
+
+void EnumOutput::AssignTo(Assignment* out) const {
+  out->Clear();
   for (const auto& [mask, node] : contributions) {
     for (VarId v = 0; mask >> v; ++v) {
-      if (mask & (VarMask{1} << v)) a.Add(Singleton{v, node});
+      if (mask & (VarMask{1} << v)) out->Add(Singleton{v, node});
     }
   }
-  a.Normalize();
-  return a;
+  out->Normalize();
 }
 
 AssignmentCursor::AssignmentCursor(const AssignmentCircuit* circuit,
@@ -36,11 +40,20 @@ AssignmentCursor::AssignmentCursor(const AssignmentCircuit* circuit,
     : circuit_(circuit),
       index_(index),
       mode_(mode),
-      box_(box),
-      gamma_(std::move(gamma)),
-      prov_words_((gamma_.size() + 63) / 64) {
-  assert(!gamma_.empty());
-  box_enum_ = MakeBoxEnum(box_, gamma_);
+      prov_words_((gamma.size() + 63) / 64) {
+  assert(!gamma.empty());
+  box_enum_ = MakeBoxEnum(box, gamma);
+}
+
+void AssignmentCursor::Reset(TermNodeId box,
+                             const std::vector<uint32_t>& gamma) {
+  assert(!gamma.empty());
+  prov_words_ = (gamma.size() + 63) / 64;
+  box_enum_->Reset(box, gamma);
+  stage_ = Stage::kNextBox;
+  left_live_ = false;
+  right_live_ = false;
+  local_steps_ = 0;
 }
 
 std::unique_ptr<BoxEnumCursor> AssignmentCursor::MakeBoxEnum(
@@ -52,31 +65,52 @@ std::unique_ptr<BoxEnumCursor> AssignmentCursor::MakeBoxEnum(
   return std::make_unique<NaiveBoxEnum>(circuit_, box, g);
 }
 
+uint64_t* AssignmentCursor::AccSlot(int32_t* slot) {
+  if (*slot < 0) {
+    *slot = static_cast<int32_t>(prov_acc_.size() / prov_words_);
+    prov_acc_.resize(prov_acc_.size() + prov_words_, 0);
+  }
+  return prov_acc_.data() + static_cast<size_t>(*slot) * prov_words_;
+}
+
 void AssignmentCursor::PrepareBox() {
   const Box b = circuit_->box(cur_.box);
-  var_agenda_.clear();
+  // R(box, Γ) has one column per Γ position: a row is a provenance bitset.
+  assert(cur_.rel.words_per_row() == prov_words_);
   var_pos_ = 0;
+  vars_.clear();
   crosses_.clear();
-  cross_prov_.clear();
+  prov_acc_.clear();
+  var_slot_.assign(b.num_var_masks(), -1);
+  cross_slot_.assign(b.num_cross_gates(), -1);
 
-  std::vector<std::vector<uint64_t>> vacc(b.num_var_masks());
-  std::vector<std::vector<uint64_t>> cacc(b.num_cross_gates());
   cur_.rel.NonEmptyRowsInto(&rows_scratch_);
   for (uint32_t g : rows_scratch_) {
     const uint64_t* row = cur_.rel.Row(g);
-    size_t words = cur_.rel.words_per_row();
-    for (uint32_t vi : b.var_inputs(g)) OrInto(vacc[vi], row, words);
-    for (uint32_t ci : b.cross_inputs(g)) OrInto(cacc[ci], row, words);
+    for (uint32_t vi : b.var_inputs(g)) {
+      OrInto(AccSlot(&var_slot_[vi]), row, prov_words_);
+    }
+    for (uint32_t ci : b.cross_inputs(g)) {
+      OrInto(AccSlot(&cross_slot_[ci]), row, prov_words_);
+    }
     ++local_steps_;
   }
-  for (uint32_t vi = 0; vi < vacc.size(); ++vi) {
-    if (!vacc[vi].empty()) var_agenda_.emplace_back(vi, std::move(vacc[vi]));
+  for (uint32_t vi = 0; vi < var_slot_.size(); ++vi) {
+    if (var_slot_[vi] >= 0) vars_.push_back(vi);
   }
-  for (uint32_t ci = 0; ci < cacc.size(); ++ci) {
-    if (!cacc[ci].empty()) {
-      crosses_.push_back(ci);
-      cross_prov_.push_back(std::move(cacc[ci]));
-    }
+  for (uint32_t ci = 0; ci < cross_slot_.size(); ++ci) {
+    if (cross_slot_[ci] >= 0) crosses_.push_back(ci);
+  }
+}
+
+void AssignmentCursor::ResetChild(std::unique_ptr<AssignmentCursor>* child,
+                                  TermNodeId box,
+                                  const std::vector<uint32_t>& gamma) {
+  if (*child) {
+    (*child)->Reset(box, gamma);
+  } else {
+    *child = std::make_unique<AssignmentCursor>(circuit_, index_, mode_, box,
+                                                gamma);
   }
 }
 
@@ -101,13 +135,13 @@ void AssignmentCursor::SetupLeft() {
       gamma_left_.push_back(static_cast<uint32_t>(d));
     }
   }
-  if (left_cursor_) local_steps_ += left_cursor_->steps();
-  left_cursor_ = std::make_unique<AssignmentCursor>(circuit_, index_, mode_,
-                                                    lchild, gamma_left_);
+  if (left_live_) local_steps_ += left_cursor_->steps();
+  ResetChild(&left_cursor_, lchild, gamma_left_);
+  left_live_ = true;
   stage_ = Stage::kPullLeft;
 }
 
-bool AssignmentCursor::SetupRight() {
+void AssignmentCursor::SetupRight() {
   const Box b = circuit_->box(cur_.box);
   const Term& term = circuit_->term();
   TermNodeId lchild = term.node(cur_.box).left;
@@ -137,10 +171,9 @@ bool AssignmentCursor::SetupRight() {
       gamma_right_.push_back(static_cast<uint32_t>(d));
     }
   }
-  if (right_cursor_) local_steps_ += right_cursor_->steps();
-  right_cursor_ = std::make_unique<AssignmentCursor>(circuit_, index_, mode_,
-                                                     rchild, gamma_right_);
-  return true;
+  if (right_live_) local_steps_ += right_cursor_->steps();
+  ResetChild(&right_cursor_, rchild, gamma_right_);
+  right_live_ = true;
 }
 
 bool AssignmentCursor::Next(EnumOutput* out) {
@@ -161,14 +194,14 @@ bool AssignmentCursor::Next(EnumOutput* out) {
       }
 
       case Stage::kEmitVars: {
-        if (var_pos_ < var_agenda_.size()) {
-          const auto& [vi, prov] = var_agenda_[var_pos_];
-          ++var_pos_;
+        if (var_pos_ < vars_.size()) {
+          const uint32_t vi = vars_[var_pos_++];
           const Box b = circuit_->box(cur_.box);
           out->contributions.clear();
           out->contributions.emplace_back(b.var_mask(vi),
                                           term.node(cur_.box).tree_node);
-          out->provenance = prov;
+          const uint64_t* prov = Acc(var_slot_[vi]);
+          out->provenance.assign(prov, prov + prov_words_);
           ++local_steps_;
           return true;
         }
@@ -187,8 +220,7 @@ bool AssignmentCursor::Next(EnumOutput* out) {
       }
 
       case Stage::kPullRight: {
-        EnumOutput rout;
-        if (!right_cursor_->Next(&rout)) {
+        if (!right_cursor_->Next(&right_out_)) {
           stage_ = Stage::kPullLeft;
           break;
         }
@@ -197,16 +229,16 @@ bool AssignmentCursor::Next(EnumOutput* out) {
             circuit_->box(term.node(cur_.box).right);
         out->contributions = left_out_.contributions;
         out->contributions.insert(out->contributions.end(),
-                                  rout.contributions.begin(),
-                                  rout.contributions.end());
+                                  right_out_.contributions.begin(),
+                                  right_out_.contributions.end());
         out->provenance.assign(prov_words_, 0);
         bool any = false;
         for (uint32_t i : crosses_left_) {
           const CrossGate& cg = b.cross_gate(crosses_[i]);
           int32_t pos = right_pos_[rb.union_idx(cg.right_state)];
-          if (BitAt(rout.provenance, static_cast<size_t>(pos))) {
-            OrInto(out->provenance, cross_prov_[i].data(),
-                   cross_prov_[i].size());
+          if (BitAt(right_out_.provenance, static_cast<size_t>(pos))) {
+            OrInto(out->provenance.data(), Acc(cross_slot_[crosses_[i]]),
+                   prov_words_);
             any = true;
           }
         }
@@ -221,8 +253,8 @@ bool AssignmentCursor::Next(EnumOutput* out) {
 
 size_t AssignmentCursor::steps() const {
   size_t s = local_steps_ + box_enum_->steps();
-  if (left_cursor_) s += left_cursor_->steps();
-  if (right_cursor_) s += right_cursor_->steps();
+  if (left_live_) s += left_cursor_->steps();
+  if (right_live_) s += right_cursor_->steps();
   return s;
 }
 

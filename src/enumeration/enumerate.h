@@ -6,6 +6,12 @@
 // and right factors of the related ×-gates, combining them and computing
 // the provenance Prov(S, Γ) = {g ∈ Γ | S ∈ S(g)} that drives the recursive
 // filtering (lines 8-16 of Algorithm 2).
+//
+// A cursor keeps its child cursors and scratch across boxes and answers:
+// the left and right sub-cursors are rewound with Reset() instead of being
+// rebuilt per left answer, provenance accumulates in one flat buffer, and
+// callers reuse their EnumOutput. After warm-up a drain touches the heap
+// only when some buffer meets a larger shape than before.
 #ifndef TREENUM_ENUMERATION_ENUMERATE_H_
 #define TREENUM_ENUMERATION_ENUMERATE_H_
 
@@ -26,6 +32,8 @@ struct EnumOutput {
   std::vector<uint64_t> provenance;
 
   Assignment ToAssignment() const;
+  /// ToAssignment into `out`, reusing its storage.
+  void AssignTo(Assignment* out) const;
 };
 
 /// Which box-enum implementation the cursor uses.
@@ -42,6 +50,10 @@ class AssignmentCursor {
   /// Produces the next assignment; false when exhausted.
   bool Next(EnumOutput* out);
 
+  /// Rewinds to a fresh enumeration of `gamma` at `box` (same circuit,
+  /// index and mode), keeping every warm buffer and child cursor.
+  void Reset(TermNodeId box, const std::vector<uint32_t>& gamma);
+
   /// Elementary-step counter (delay accounting).
   size_t steps() const;
 
@@ -51,14 +63,21 @@ class AssignmentCursor {
   std::unique_ptr<BoxEnumCursor> MakeBoxEnum(TermNodeId box,
                                              const std::vector<uint32_t>& g);
   void PrepareBox();
+  /// The provenance accumulator behind `*slot`, claiming a zeroed one on
+  /// first use.
+  uint64_t* AccSlot(int32_t* slot);
+  const uint64_t* Acc(int32_t slot) const {
+    return prov_acc_.data() + static_cast<size_t>(slot) * prov_words_;
+  }
   void SetupLeft();
-  bool SetupRight();
+  void SetupRight();
+  /// Rewinds `*child` to (box, gamma), creating it on first use.
+  void ResetChild(std::unique_ptr<AssignmentCursor>* child, TermNodeId box,
+                  const std::vector<uint32_t>& gamma);
 
   const AssignmentCircuit* circuit_;
   const EnumIndex* index_;
   BoxEnumMode mode_;
-  TermNodeId box_;
-  std::vector<uint32_t> gamma_;
   size_t prov_words_;
 
   std::unique_ptr<BoxEnumCursor> box_enum_;
@@ -68,12 +87,16 @@ class AssignmentCursor {
   BoxRelation cur_;
   // Non-empty-row scratch for PrepareBox (reused across boxes).
   std::vector<uint32_t> rows_scratch_;
-  // Var agenda: (mask index, provenance) in deterministic order.
-  std::vector<std::pair<uint32_t, std::vector<uint64_t>>> var_agenda_;
+  // Provenance accumulators, prov_words_ words per slot, and the slot of
+  // each var-mask index / local ×-gate id of the current box (-1: none).
+  std::vector<uint64_t> prov_acc_;
+  std::vector<int32_t> var_slot_;
+  std::vector<int32_t> cross_slot_;
+  // Var agenda: the related var-mask indices, ascending.
+  std::vector<uint32_t> vars_;
   size_t var_pos_ = 0;
-  // Cross agenda: local ×-gate id → provenance base; involved gate list.
+  // Cross agenda: the related local ×-gate ids, ascending.
   std::vector<uint32_t> crosses_;
-  std::vector<std::vector<uint64_t>> cross_prov_;
   // Left recursion.
   std::vector<uint32_t> gamma_left_;
   std::vector<int32_t> left_pos_;  // left child dense ∪-gate -> ΓL position
@@ -84,6 +107,11 @@ class AssignmentCursor {
   std::vector<uint32_t> gamma_right_;
   std::vector<int32_t> right_pos_;
   std::unique_ptr<AssignmentCursor> right_cursor_;
+  EnumOutput right_out_;
+  // Whether the child cursors belong to the current enumeration (a Reset
+  // keeps them for reuse, but their steps no longer count).
+  bool left_live_ = false;
+  bool right_live_ = false;
 
   size_t local_steps_ = 0;
 };

@@ -46,6 +46,10 @@ void EnumIndex::EnsureSlot(TermNodeId id) {
 
 void EnumIndex::BuildAll() {
   const Term& term = circuit_->term();
+  // Size the span directory once (see AssignmentCircuit::BuildAll).
+  if (term.id_bound() > 0) {
+    EnsureSlot(static_cast<TermNodeId>(term.id_bound() - 1));
+  }
   struct F {
     TermNodeId id;
     bool expanded;
@@ -63,6 +67,22 @@ void EnumIndex::BuildAll() {
     }
     RebuildBoxIndex(f.id);
   }
+}
+
+StoreBytes EnumIndex::StorageBytes() const {
+  StoreBytes b;
+  b += spans_.bytes();
+  b += cand_pool_.bytes();
+  b += i32_pool_.bytes();
+  b += bits_pool_.bytes();
+  return b;
+}
+
+void EnumIndex::DropRetired() {
+  spans_.DropRetired();
+  cand_pool_.DropRetired();
+  i32_pool_.DropRetired();
+  bits_pool_.DropRetired();
 }
 
 BoxIndex EnumIndex::at(TermNodeId id) const {

@@ -127,7 +127,8 @@ class EnumIndex {
 
   const AssignmentCircuit& circuit() const { return *circuit_; }
 
-  /// Builds the index for every box, bottom-up (O(|T| * poly(w))).
+  /// Builds the index for every box, bottom-up (O(|T| * poly(w))). Sizes
+  /// the span directory once from the term's id bound first.
   void BuildAll();
 
   /// Recomputes one box's index from its children's (which must be current).
@@ -151,6 +152,13 @@ class EnumIndex {
   /// relations have the dimensions Definition 6.1 dictates. Returns an
   /// empty string if consistent. (Test hook.)
   std::string ValidateStorage() const;
+
+  /// Heap bytes of the span directory and the pools (live and retired).
+  StoreBytes StorageBytes() const;
+
+  /// Frees the retired buffers of the directory and the pools; the same
+  /// contract as AssignmentCircuit::DropRetired.
+  void DropRetired();
 
   /// fib(Γ) as a candidate index at `box`; see BoxIndex::FibLocal.
   int32_t FibOfSet(TermNodeId box, const std::vector<uint32_t>& gates) const {

@@ -78,6 +78,9 @@ class BitMatrixPool {
 
   void ReserveAdditional(size_t extra) { pool_.ReserveAdditional(extra); }
   size_t size() const { return pool_.size(); }
+  StoreBytes bytes() const { return pool_.bytes(); }
+  /// See SpanPool::DropRetired.
+  void DropRetired() { pool_.DropRetired(); }
 
   static uint32_t WordsPerRow(uint32_t cols) { return (cols + 63) / 64; }
 

@@ -51,6 +51,8 @@ class Assignment {
   /// Adds a singleton (does not re-normalize; call Normalize() after bulk
   /// insertion or use the sorted constructor).
   void Add(Singleton s) { singletons_.push_back(s); }
+  /// Empties the assignment, keeping its storage for reuse.
+  void Clear() { singletons_.clear(); }
 
   /// Sorts and deduplicates, producing the canonical representation.
   void Normalize();

@@ -7,9 +7,10 @@
 //  - The writer grows the store geometrically. On growth the old buffer is
 //    NOT freed: its contents are memcpy'd into the new buffer, the base
 //    pointer is store-released, and the old buffer is retired (kept alive
-//    until the store is destroyed). A reader that loaded the base pointer
-//    just before a growth keeps reading the old buffer — which still holds
-//    the bit-identical data for every element that existed at load time.
+//    until the store is destroyed or DropRetired() runs). A reader that
+//    loaded the base pointer just before a growth keeps reading the old
+//    buffer — which still holds the bit-identical data for every element
+//    that existed at load time.
 //  - Element *mutation* safety is the caller's contract: readers may only
 //    touch elements that were fully written before the pointer (or a
 //    higher-level snapshot handle) was published to them, and the writer
@@ -19,7 +20,13 @@
 //
 // Retired buffers form a geometric series, so total retained memory is at
 // most ~2x the live buffer — the price of lock-free readers without hazard
-// pointers. T must be trivially copyable (elements move by memcpy).
+// pointers. That price only buys something once a reader can exist: a
+// store that has never been reachable from another thread (e.g. one filled
+// inside a constructor, before its owner is published) holds retired
+// buffers nobody can read, and its owner frees them with DropRetired().
+// Owners that know their final size up front reserve() it once instead of
+// growing through the series at all. T must be trivially copyable
+// (elements move by memcpy).
 #ifndef TREENUM_UTIL_COW_STORE_H_
 #define TREENUM_UTIL_COW_STORE_H_
 
@@ -31,6 +38,23 @@
 #include <vector>
 
 namespace treenum {
+
+/// Heap bytes held by a set of CowStores: the live buffers (whole
+/// capacity) and the retired ones, plus how much of the live capacity holds
+/// elements. Accounting for tests and benches.
+struct StoreBytes {
+  size_t used = 0;     ///< size() elements of the live buffers.
+  size_t live = 0;     ///< capacity() elements of the live buffers.
+  size_t retired = 0;  ///< Retired buffers, whole.
+
+  size_t total() const { return live + retired; }
+  StoreBytes& operator+=(const StoreBytes& o) {
+    used += o.used;
+    live += o.live;
+    retired += o.retired;
+    return *this;
+  }
+};
 
 template <typename T, size_t Align = alignof(T)>
 class CowStore {
@@ -50,13 +74,15 @@ class CowStore {
       : buf_(o.buf_),
         cap_(o.cap_),
         size_(o.size_.load(std::memory_order_relaxed)),
-        retired_(std::move(o.retired_)) {
+        retired_(std::move(o.retired_)),
+        retired_cap_(o.retired_cap_) {
     base_.store(buf_, std::memory_order_relaxed);
     o.buf_ = nullptr;
     o.base_.store(nullptr, std::memory_order_relaxed);
     o.cap_ = 0;
     o.size_.store(0, std::memory_order_relaxed);
     o.retired_.clear();
+    o.retired_cap_ = 0;
   }
   CowStore& operator=(CowStore&& o) noexcept {
     if (this != &o) {
@@ -66,12 +92,14 @@ class CowStore {
       size_.store(o.size_.load(std::memory_order_relaxed),
                   std::memory_order_relaxed);
       retired_ = std::move(o.retired_);
+      retired_cap_ = o.retired_cap_;
       base_.store(buf_, std::memory_order_relaxed);
       o.buf_ = nullptr;
       o.base_.store(nullptr, std::memory_order_relaxed);
       o.cap_ = 0;
       o.size_.store(0, std::memory_order_relaxed);
       o.retired_.clear();
+      o.retired_cap_ = 0;
     }
     return *this;
   }
@@ -79,8 +107,11 @@ class CowStore {
   size_t size() const { return size_.load(std::memory_order_relaxed); }
   bool empty() const { return size() == 0; }
   size_t capacity() const { return cap_; }
-  /// Number of retired (still-retained) buffers — introspection for tests.
-  size_t retired_buffers() const { return retired_.size(); }
+  /// Heap bytes of the live buffer and the retired ones.
+  StoreBytes bytes() const {
+    return StoreBytes{size() * sizeof(T), cap_ * sizeof(T),
+                      retired_cap_ * sizeof(T)};
+  }
 
   /// Writer-side fast access (no atomics; the writer owns buf_).
   T* data() { return buf_; }
@@ -120,6 +151,17 @@ class CowStore {
 
   void clear() { size_.store(0, std::memory_order_relaxed); }
 
+  /// Frees every retired buffer. Writer-side, and only safe when no reader
+  /// can still hold a pointer loaded before the last growth — in practice:
+  /// the store has never been reachable from another thread (its owner is
+  /// still being built and has not been published). Once readers may
+  /// exist, retired buffers must stay until the store is destroyed.
+  void DropRetired() {
+    for (T* p : retired_) FreeBuffer(p);
+    retired_.clear();
+    retired_cap_ = 0;
+  }
+
  private:
   static T* AllocBuffer(size_t cap) {
     void* p = ::operator new(cap * sizeof(T), std::align_val_t(Align));
@@ -136,7 +178,10 @@ class CowStore {
     T* nb = AllocBuffer(newcap);
     size_t sz = size();
     if (sz > 0) std::memcpy(nb, buf_, sz * sizeof(T));
-    if (buf_ != nullptr) retired_.push_back(buf_);
+    if (buf_ != nullptr) {
+      retired_.push_back(buf_);
+      retired_cap_ += cap_;
+    }
     buf_ = nb;
     cap_ = newcap;
     // Release: the memcpy above happens-before any reader's acquire load.
@@ -144,8 +189,7 @@ class CowStore {
   }
 
   void Deallocate() {
-    for (T* p : retired_) FreeBuffer(p);
-    retired_.clear();
+    DropRetired();
     if (buf_ != nullptr) FreeBuffer(buf_);
     buf_ = nullptr;
     base_.store(nullptr, std::memory_order_relaxed);
@@ -158,6 +202,7 @@ class CowStore {
   size_t cap_ = 0;
   std::atomic<size_t> size_{0};
   std::vector<T*> retired_;           ///< Old buffers kept for stale readers.
+  size_t retired_cap_ = 0;            ///< Summed capacity of retired_.
 };
 
 }  // namespace treenum

@@ -1,17 +1,22 @@
 // Property tests for the arena/CSR circuit storage: long mixed edit
 // scripts cross-checked against the recompute-from-scratch oracle, arena
 // invariant validation along the way, the steady-state allocation-freedom
-// guarantee (via the alloc gauge hooks linked into this binary), and the
-// TREENUM_CHECK width limit.
+// guarantee (via the alloc gauge hooks linked into this binary), the
+// storage footprint of a freshly built pipeline, and the TREENUM_CHECK
+// width limit.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <vector>
 
 #include "automata/query_library.h"
 #include "baseline/static_engine.h"
+#include "core/document.h"
 #include "core/engine.h"
 #include "core/tree_enumerator.h"
 #include "enumeration/box_enum.h"
+#include "enumeration/enumerate.h"
 #include "test_util.h"
 #include "util/alloc_gauge.h"
 
@@ -181,6 +186,92 @@ TEST(FlatStorage, BoxEnumDelayIsAllocationFreeAfterWarmup) {
         << "warm box-enum traversal must not touch the heap";
     EXPECT_EQ(measured_boxes, warm_boxes);
   }
+}
+
+// Answer-level counterpart: a full AssignmentCursor drain recycles its
+// child cursors, provenance accumulators and the caller's EnumOutput, so
+// the heap is touched only while buffers first grow — independent of the
+// number of answers.
+TEST(FlatStorage, CursorDrainIsNearlyAllocationFree) {
+  ASSERT_TRUE(AllocGaugeActive());
+
+  Rng rng(151);
+  UnrankedTree tree = RandomTree(4096, 3, rng);
+  TreeEnumerator e(tree, QuerySelectAll(3), BoxEnumMode::kIndexed);
+  EnumOutput out;
+  size_t answers = 0;
+  AllocGaugeScope gauge;
+  std::unique_ptr<AssignmentCursor> cursor = e.pipeline().MakeRootCursor();
+  ASSERT_NE(cursor, nullptr);
+  while (cursor->Next(&out)) ++answers;
+  const uint64_t allocs = gauge.allocs();
+  ASSERT_EQ(answers, tree.size());
+  EXPECT_LT(static_cast<double>(allocs) / static_cast<double>(answers), 0.05)
+      << allocs << " allocations for " << answers << " answers";
+}
+
+// The circuit and index of one query on `tree`, read right after
+// registration.
+StoreBytes PipelineStorage(UnrankedTree tree) {
+  DynamicDocument doc(std::move(tree), 3);
+  return doc.pipeline(doc.Register(QueryMarkedAncestor(3, 1, 2)))
+      .StorageBytes();
+}
+
+// A 4096-node tree encodes into 8191 term nodes (one per box).
+constexpr double kTermNodes = 2 * 4096 - 1;
+
+// Per-∪-gate data lives in span pools, so a box pays for the gates it has
+// (about three on average here) rather than for w = 77 states' worth of
+// slots; only γ kinds and dense indices stay strided by w. The bound is on
+// everything allocated, live capacity and retired buffers alike.
+TEST(FlatStorage, PipelineStorageStaysLinearInTheTerm) {
+  Rng rng(157);
+  const StoreBytes b = PipelineStorage(RandomTree(4096, 3, rng));
+  EXPECT_LE(static_cast<double>(b.total()) / kTermNodes, 2048.0);
+}
+
+// The build retires a geometric series of buffers in every growing store;
+// nothing can read them before the pipeline is published, so registration
+// hands back a pipeline that holds none — in both enumeration modes, and
+// also for a query registered after edits have moved the term on.
+TEST(FlatStorage, RegisterLeavesNoRetiredBuffers) {
+  Rng rng(163);
+  UnrankedTree tree = RandomTree(2048, 3, rng);
+  ScriptedEditor script(tree, 167, 3);
+  DynamicDocument doc(std::move(tree), 3);
+  for (BoxEnumMode mode : {BoxEnumMode::kIndexed, BoxEnumMode::kNaive}) {
+    const auto h = doc.Register(QueryMarkedAncestor(3, 1, 2), mode);
+    EXPECT_EQ(doc.pipeline(h).StorageBytes().retired, 0u);
+  }
+  for (int i = 0; i < 64; ++i) doc.ApplyEdit(script.NextEdit());
+  const auto h = doc.Register(QueryDescendantPairs(3, 0, 1));
+  EXPECT_EQ(doc.pipeline(h).StorageBytes().retired, 0u);
+  EXPECT_GT(doc.pipeline(h).StorageBytes().live, 0u);
+}
+
+// Same size and labels, different shapes: the bytes the stores hold follow
+// the gates the query needs, with no w-wide slot per box and no retired
+// buffers whose number depends on where growth steps landed. (Compared on
+// used bytes: spare capacity is rounded to powers of two per pool and is
+// not written. A path is left out on purpose: its boxes really have more
+// gates, about 25% more bytes.)
+TEST(FlatStorage, PipelineStorageBarelyDependsOnTreeShape) {
+  std::vector<double> per_node;
+  for (uint64_t seed : {173, 179}) {
+    Rng rng(seed);
+    per_node.push_back(
+        static_cast<double>(PipelineStorage(RandomTree(4096, 3, rng)).used) /
+        kTermNodes);
+  }
+  for (size_t k : {2, 8}) {
+    Rng rng(181);
+    per_node.push_back(
+        static_cast<double>(PipelineStorage(KaryTree(4096, k, 3, rng)).used) /
+        kTermNodes);
+  }
+  const auto [lo, hi] = std::minmax_element(per_node.begin(), per_node.end());
+  EXPECT_LE(*hi, 1.25 * *lo) << "bytes per term node " << *lo << " .. " << *hi;
 }
 
 TEST(FlatStorage, WidthLimitIsChecked) {

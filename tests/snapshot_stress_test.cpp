@@ -10,8 +10,10 @@
 // epoch() indexes the expected-answers table directly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -133,6 +135,93 @@ TEST(SnapshotStress, TreeReadersRaceBatchedWriter) {
   EXPECT_EQ(doc.EnumerateAt(doc.CurrentSnapshot(), h1), expected1[kBatches]);
   EXPECT_EQ(doc.EnumerateAt(genesis, h1), expected1[0]);
   EXPECT_EQ(doc.snapshots_published(), static_cast<uint64_t>(kBatches) + 1);
+}
+
+// Registration races readers: the writer builds new pipelines (each freeing
+// the buffers its build retired before the pipeline is published) and
+// edits the document, while reader threads drain cursors over pinned
+// snapshots of a query registered beforehand, through a ReaderView — the
+// surface that stays valid while the registry tables change. TSan and
+// ASan check that the release path touches nothing a reader can see.
+TEST(SnapshotStress, RegistrationsRaceSnapshotDrains) {
+  Rng rng(223);
+  UnrankedTree tree = RandomTree(60, 3, rng);
+  const UnrankedTva base = QueryMarkedAncestor(3, 1, 2);
+  std::vector<UnrankedTva> fresh;
+  for (Label a = 0; a < 3; ++a) {
+    fresh.push_back(QuerySelectLabel(3, a));
+    for (Label b = 0; b < 3; ++b) {
+      if (a != b) fresh.push_back(QueryDescendantPairs(3, a, b));
+    }
+  }
+
+  // One edit batch per registration; expected base answers per version.
+  ScriptedEditor script(tree, 227, 3);
+  std::vector<std::vector<Edit>> batches;
+  std::vector<std::vector<Assignment>> expected;
+  std::vector<UnrankedTree> versions;
+  {
+    StaticEngine oracle(tree, base);
+    expected.push_back(oracle.EnumerateAll());
+    versions.push_back(oracle.tree());
+    for (size_t j = 0; j < fresh.size(); ++j) {
+      std::vector<Edit> batch;
+      for (int i = 0; i < 3; ++i) batch.push_back(script.NextEdit());
+      oracle.ApplyEdits(batch);
+      expected.push_back(oracle.EnumerateAll());
+      versions.push_back(oracle.tree());
+      batches.push_back(std::move(batch));
+    }
+  }
+
+  DynamicDocument doc(tree, 3);
+  const DynamicDocument::QueryHandle h = doc.Register(base);
+  const DynamicDocument::ReaderView view = doc.reader_view(h);
+
+  ReaderState state;
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&] {
+      while (!state.done.load(std::memory_order_acquire)) {
+        SnapshotRef snap = doc.CurrentSnapshot();
+        const size_t v = static_cast<size_t>(snap.epoch());
+        std::unique_ptr<Engine::Cursor> cursor = view.MakeCursorAt(snap);
+        std::vector<Assignment> got;
+        Assignment a;
+        while (cursor->Next(&a)) got.push_back(a);
+        std::sort(got.begin(), got.end());
+        if (got != expected[v]) {
+          state.mismatches.fetch_add(1, std::memory_order_relaxed);
+        }
+        state.iterations.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+
+  size_t fresh_mismatches = 0;
+  for (size_t j = 0; j < fresh.size(); ++j) {
+    while (state.iterations.load(std::memory_order_relaxed) < j / 2) {
+      std::this_thread::yield();
+    }
+    const DynamicDocument::QueryHandle hj = doc.Register(fresh[j]);
+    if (doc.pipeline(hj).StorageBytes().retired != 0 ||
+        doc.EnumerateAt(doc.CurrentSnapshot(), hj) !=
+            StaticEngine(versions[j], fresh[j]).EnumerateAll()) {
+      ++fresh_mismatches;
+    }
+    doc.ApplyEdits(batches[j]);
+    doc.Unregister(hj);
+  }
+  while (state.iterations.load(std::memory_order_relaxed) <
+         kMinIterations * kReaders) {
+    std::this_thread::yield();
+  }
+  state.done.store(true, std::memory_order_release);
+  for (std::thread& t : readers) t.join();
+
+  EXPECT_EQ(fresh_mismatches, 0u);
+  EXPECT_EQ(state.mismatches.load(), 0u);
+  EXPECT_EQ(doc.EnumerateAt(doc.CurrentSnapshot(), h), expected.back());
 }
 
 TEST(SnapshotStress, WordReadersRaceBatchedWriter) {
